@@ -12,25 +12,27 @@ bench-smoke:
 	REPRO_BENCH_SCALE=small $(PYTHON) -m pytest \
 		benchmarks/bench_e4_runtime.py benchmarks/bench_srt_runtime.py -q
 
-# regenerate the standalone bench-regression artifacts
+# regenerate the BENCH artifacts from their sweep-registry rows; a fresh
+# throwaway cache makes every point re-timed (a warm cache would replay
+# old timings)
 bench:
-	$(PYTHON) -m repro.perf.bench --scale small -o BENCH_1.json
+	$(PYTHON) -m repro sweep run bench -o BENCH_1.json --cache-dir "$$(mktemp -d)"
 
 bench-srt:
-	$(PYTHON) -m repro.perf.bench_srt --scale small -o BENCH_2.json
+	$(PYTHON) -m repro sweep run bench-srt -o BENCH_2.json --cache-dir "$$(mktemp -d)"
 
 bench-obs:
-	$(PYTHON) -m repro.perf.bench_obs --scale small -o BENCH_3.json
+	$(PYTHON) -m repro sweep run bench-obs -o BENCH_3.json --cache-dir "$$(mktemp -d)"
 
 # incremental BENCH regeneration on the experiment fabric: points are
 # content-addressed in .repro-cache/sweeps, so only points whose inputs
 # (grid, seed, reps, schema salt) changed are re-timed (docs/SCALING.md)
 bench-incremental:
-	$(PYTHON) -m repro.perf.bench --scale small -o BENCH_1.json \
+	$(PYTHON) -m repro sweep run bench -o BENCH_1.json \
 		--cache-dir .repro-cache/sweeps
-	$(PYTHON) -m repro.perf.bench_srt --scale small -o BENCH_2.json \
+	$(PYTHON) -m repro sweep run bench-srt -o BENCH_2.json \
 		--cache-dir .repro-cache/sweeps
-	$(PYTHON) -m repro.perf.bench_obs --scale small -o BENCH_3.json \
+	$(PYTHON) -m repro sweep run bench-obs -o BENCH_3.json \
 		--cache-dir .repro-cache/sweeps
 
 # observability gates: observer overhead (BENCH_3.json; no-op <= 5%,
@@ -47,10 +49,11 @@ perf-check:
 	$(PYTHON) -m repro.analysis.profiling
 
 # fault-injection smoke: random instances x random FaultPlans through the
-# hardened parallel runner; exits non-zero if any recovered schedule fails
-# validation, plus a CLI degradation-report round-trip
+# hardened parallel runner (every trial solved: fresh cache, report
+# discarded); exits non-zero if any recovered schedule fails validation,
+# plus a CLI degradation-report round-trip
 faults-smoke:
-	$(PYTHON) -m repro.perf.faultsweep --trials 8 -m 4 -n 16 --events 5
+	$(PYTHON) -m repro sweep run faultsweep -o /dev/null --cache-dir "$$(mktemp -d)"
 	$(PYTHON) -m repro faults -m 4 -n 24 --fault-seed 7 --json > /dev/null
 	@echo "faults-smoke: OK"
 
@@ -91,7 +94,8 @@ serve-smoke:
 	@echo "serve-smoke: OK"
 
 # regenerate FAULTSWEEP.json through the sweep fabric (cache-aware; the
-# report records cache hit/solved counts like every BENCH artifact)
+# report records cache hit/solved counts like every BENCH artifact; exits
+# non-zero if any recovered schedule fails validation)
 faultsweep:
 	$(PYTHON) -m repro sweep run faultsweep --cache-dir .repro-cache/sweeps
 

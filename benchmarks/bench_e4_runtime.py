@@ -6,8 +6,8 @@ timings at three sizes — the "series" behind the scaling figure.  Each size
 is benchmarked on both the Fraction reference backend and the exact
 scaled-integer kernel, so a regression in either shows up here.
 
-``bench_e4_regression_report`` additionally runs the standalone
-bench-regression harness (:mod:`repro.perf.bench`) and writes its
+``bench_e4_regression_report`` additionally runs the ``bench`` row of the
+sweep registry (``repro-sched sweep run bench``) and writes its
 ``BENCH_1.json`` next to the repo root; this file records per-point
 wall-clock, speedup and peak RSS and is the artifact the ≥10× speedup
 acceptance criterion is checked against.  The smoke invocation is::
@@ -20,8 +20,8 @@ from pathlib import Path
 
 from repro.analysis import run_e4
 from repro.core.scheduler import schedule_srj
-from repro.perf import solve_srj
-from repro.perf.bench import run_bench, write_report
+from repro.engine import solve_srj
+from repro.sweep.registry import get_sweep, run_entry
 from repro.workloads import make_instance
 
 from conftest import SCALE, run_table
@@ -73,12 +73,12 @@ def bench_srj_int_m64_n400(benchmark):
 
 
 def bench_e4_regression_report(benchmark, capsys):
-    """Run the BENCH_1.json harness once under the benchmark timer."""
-    report = benchmark.pedantic(
-        lambda: run_bench(scale=SCALE, seed=0), rounds=1, iterations=1
-    )
+    """Run the BENCH_1.json registry row once under the benchmark timer."""
     out = REPO_ROOT / "BENCH_1.json"
-    write_report(report, out)
+    report = benchmark.pedantic(
+        lambda: run_entry(get_sweep("bench"), SCALE, 0, out=str(out)),
+        rounds=1, iterations=1,
+    )
     with capsys.disabled():
         s = report["summary"]
         print()

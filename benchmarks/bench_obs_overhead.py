@@ -2,9 +2,9 @@
 
 Companion to ``bench_e4_runtime.py`` (``BENCH_1.json``) and
 ``bench_srt_runtime.py`` (``BENCH_2.json``): micro-benchmarks the engine
-in its three instrumentation modes and runs the standalone gate harness
-(:mod:`repro.perf.bench_obs`), writing ``BENCH_3.json`` next to the repo
-root.  The gates — an installed no-op observer within 5% of the bare
+in its three instrumentation modes and runs the ``bench-obs`` row of the
+sweep registry (``repro-sched sweep run bench-obs``), writing
+``BENCH_3.json`` next to the repo root.  The gates — an installed no-op observer within 5% of the bare
 loop, full stats collection within 30% — are asserted here, so a
 regression in the observer hot path fails the benchmark suite.  The
 smoke invocation is::
@@ -17,7 +17,8 @@ from pathlib import Path
 
 from repro.engine.api import solve_srj
 from repro.obs import NULL_OBSERVER
-from repro.perf.bench_obs import GATE_NOOP, GATE_STATS, run_bench_obs, write_report
+from repro.perf.bench import GATE_NOOP, GATE_STATS
+from repro.sweep.registry import get_sweep, run_entry
 from repro.workloads import make_instance
 
 from conftest import SCALE
@@ -45,12 +46,12 @@ def bench_srj_int_collect_stats(benchmark):
 
 
 def bench_obs_overhead_report(benchmark, capsys):
-    """Run the BENCH_3.json gate harness once under the benchmark timer."""
-    report = benchmark.pedantic(
-        lambda: run_bench_obs(scale=SCALE, seed=0), rounds=1, iterations=1
-    )
+    """Run the BENCH_3.json registry row once under the benchmark timer."""
     out = REPO_ROOT / "BENCH_3.json"
-    write_report(report, out)
+    report = benchmark.pedantic(
+        lambda: run_entry(get_sweep("bench-obs"), SCALE, 0, out=str(out)),
+        rounds=1, iterations=1,
+    )
     s = report["summary"]
     with capsys.disabled():
         print()

@@ -3,8 +3,8 @@
 Companion to ``bench_e4_runtime.py`` (which covers the general SRJ kernel
 and ``BENCH_1.json``): micro-benchmarks the Theorem-4.8 SRT scheduler on
 the exact-rational and scaled-integer engine backends, then runs the
-standalone regression harness (:mod:`repro.perf.bench_srt`) and writes
-``BENCH_2.json`` next to the repo root.  The smoke invocation is::
+``bench-srt`` row of the sweep registry (``repro-sched sweep run
+bench-srt``) and writes ``BENCH_2.json`` next to the repo root.  The smoke invocation is::
 
     REPRO_BENCH_SCALE=small pytest benchmarks/bench_srt_runtime.py -q
 """
@@ -12,7 +12,7 @@ standalone regression harness (:mod:`repro.perf.bench_srt`) and writes
 import random
 from pathlib import Path
 
-from repro.perf.bench_srt import run_bench_srt, write_report
+from repro.sweep.registry import get_sweep, run_entry
 from repro.tasks import solve_srt
 from repro.workloads import make_taskset
 
@@ -41,12 +41,12 @@ def bench_srt_int_k80(benchmark):
 
 
 def bench_srt_regression_report(benchmark, capsys):
-    """Run the BENCH_2.json harness once under the benchmark timer."""
-    report = benchmark.pedantic(
-        lambda: run_bench_srt(scale=SCALE, seed=0), rounds=1, iterations=1
-    )
+    """Run the BENCH_2.json registry row once under the benchmark timer."""
     out = REPO_ROOT / "BENCH_2.json"
-    write_report(report, out)
+    report = benchmark.pedantic(
+        lambda: run_entry(get_sweep("bench-srt"), SCALE, 0, out=str(out)),
+        rounds=1, iterations=1,
+    )
     with capsys.disabled():
         s = report["summary"]
         print()

@@ -61,7 +61,7 @@ from .faults import (
     run_with_faults,
     validate_faulted,
 )
-from .perf import solve_srj
+from .engine import solve_srj
 
 __version__ = "1.0.0"
 

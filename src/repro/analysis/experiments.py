@@ -25,7 +25,8 @@ import time
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..perf import seed_for, solve_srj
+from ..engine import solve_srj
+from ..perf import seed_for
 from ..sweep import SweepSpec, run_sweep
 
 from ..baselines import BASELINES
@@ -320,7 +321,7 @@ def run_e4(
     time vs n should have exponent ≈ 2 or below (the O((m+n)n) claim).
 
     Every sweep point is timed on both the Fraction reference backend and
-    the exact scaled-integer kernel (:func:`repro.perf.solve_srj`); the
+    the exact scaled-integer kernel (:func:`repro.engine.solve_srj`); the
     speedup column quantifies what exact integer arithmetic buys.  Points
     fan out across *workers* processes with deterministic per-point seeds.
     """

@@ -27,7 +27,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.bounds import makespan_lower_bound
 from ..core.scheduler import schedule_srj
-from ..perf import seed_for, solve_srj
+from ..engine import solve_srj
+from ..perf import seed_for
 from ..sweep import SweepSpec, run_sweep
 from ..tasks import schedule_tasks, srt_guarantee_factor, srt_lower_bound
 from ..workloads import make_instance, make_taskset

@@ -108,7 +108,7 @@ def main(argv: List[str] | None = None) -> int:
     import argparse
     import random
 
-    from ..perf import solve_srj
+    from ..engine import solve_srj
     from ..workloads import make_instance
 
     parser = argparse.ArgumentParser(

@@ -57,7 +57,7 @@ import argparse
 import random
 import sys
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .analysis import ALL_EXPERIMENTS
 from .engine import BACKENDS
@@ -556,12 +556,25 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+def _parse_shard(text: Optional[str]) -> Optional[Tuple[int, int]]:
+    """Parse an ``i/k`` shard flag (e.g. ``0/4``) into a tuple."""
+    if text is None:
+        return None
+    try:
+        i_text, k_text = text.split("/", 1)
+        i, k = int(i_text), int(k_text)
+    except ValueError:
+        raise ValueError(f"invalid shard {text!r}: expected i/k") from None
+    if k < 1 or not (0 <= i < k):
+        raise ValueError(f"invalid shard {text!r}: need 0 <= i < k")
+    return (i, k)
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     import json as _json
 
-    from .perf.bench import parse_shard
     from .sweep import DEFAULT_CACHE_DIR, sweep_status
-    from .sweep.registry import get_sweep
+    from .sweep.registry import get_sweep, run_entry
     from .sweep.runner import SPAN_DIR_NAME
     from .sweep.store import ResultStore
 
@@ -613,14 +626,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
     # "run" and "resume" are the same operation — the content-addressed
     # store makes every run incremental; "resume" just states the intent
-    shard = parse_shard(args.shard)
+    shard = _parse_shard(args.shard)
     out = args.out if args.out is not None else (
         None if shard is not None else entry.default_out
     )
-    report = entry.run(
-        args.scale, args.seed, args.cache_dir, args.workers, shard, out,
-        spans=args.trace_spans, timeout=args.timeout,
-        retries=args.retries, backoff=args.backoff,
+    report = run_entry(
+        entry, args.scale, args.seed, out=out, cache_dir=args.cache_dir,
+        workers=args.workers, shard=shard, spans=args.trace_spans,
+        timeout=args.timeout, retries=args.retries, backoff=args.backoff,
     )
     cache = report.get("cache", {})
     rows = report.get("rows", [])
@@ -640,7 +653,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             print(f"  {key:<28} {value}")
     if args.json:
         print(_json.dumps(report, indent=2))
-    # gated sweeps (bench-obs) carry a pass flag; surface it as exit status
+    # gated sweeps (bench-obs, faultsweep) carry a pass flag; surface it
+    # as the exit status
     if summary is not None and summary.get("passed") is False:
         return 1
     return 0

@@ -63,8 +63,8 @@ class SlidingWindowScheduler:
     """Listing 1 — the ``2 + 1/(m-2)``-approximation for SRJ.
 
     Runs the engine on the exact-rational backend; use
-    :func:`repro.perf.solve_srj` (or :func:`repro.engine.api.solve_srj`)
-    to select the scaled-integer backend instead.
+    :func:`repro.engine.solve_srj` to select the scaled-integer backend
+    instead.
 
     Parameters
     ----------

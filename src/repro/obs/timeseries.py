@@ -1,7 +1,8 @@
 """Durable perf time-series: bench rows → history → regression gates.
 
-The BENCH harnesses (:mod:`repro.perf.bench` / ``bench_srt`` /
-``bench_obs``) emit schema-2 reports whose rows mix *identity* fields
+The BENCH rows of the sweep registry (``repro-sched sweep run bench`` /
+``bench-srt`` / ``bench-obs``, see :mod:`repro.sweep.registry`) emit
+schema-2 reports whose rows mix *identity* fields
 (grid parameters: ``m``, ``n``, ``sweep``, plus the deterministic
 ``makespan`` cross-check) with *measurement* fields (median-of-reps
 timings ``*_s``, their ``*_mean_s`` companions, ``speedup`` and the

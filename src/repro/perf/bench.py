@@ -1,55 +1,72 @@
-"""Bench-regression harness: E4 runtime on both backends → ``BENCH_1.json``.
+"""What the BENCH rows of the sweep registry measure.
 
-Runs the E4-style runtime sweep (uniform family, n-sweep at fixed m plus an
-m-sweep at fixed n) on the Fraction reference backend and the scaled-integer
-kernel, cross-checks that both produce identical makespans, and records
+Every BENCH artifact is one row of :data:`repro.sweep.registry.SWEEPS`
+and is produced by ``repro-sched sweep run <name>``.  This module holds
+the pieces those rows are built from:
 
-* per-point wall-clock (median of ``reps``, with the mean alongside for
-  continuity) for both backends and the speedup,
-* the power-law exponents of time vs n (the Theorem 3.3 scaling claim),
-* peak RSS of the process (``resource.getrusage``, portable — no psutil),
+* :func:`srj_point` — the E4 runtime sweep (``bench`` → ``BENCH_1.json``):
+  the general SRJ kernel on the Fraction reference backend and the
+  scaled-integer backend, cross-checked for identical makespans;
+* :func:`srt_point` — the same for the Theorem-4.8 SRT scheduler
+  (``bench-srt`` → ``BENCH_2.json``), cross-checked on completion times;
+* :func:`obs_point` — the observer-overhead gate (``bench-obs`` →
+  ``BENCH_3.json``), see below;
+* :func:`axis_spec` — the one spec builder for the two-axis runtime
+  sweeps (size axis at fixed m, then m at fixed size), and
+  :func:`power_law_summary` — their speedups plus the fitted power-law
+  exponent of time vs the size axis (the Theorem 3.3 scaling claim);
+* :func:`obs_spec` / :func:`obs_summary` for the gate.
 
-into a JSON file so subsequent PRs have a perf trajectory to diff against.
+Runtime rows report per-point wall clock as the median of ``reps`` with
+the mean alongside.  Timing specs are ``serial=True``: uncached points
+run in-process so concurrent workers never distort the measured clock.
 
-The sweep itself runs on the experiment fabric (:mod:`repro.sweep`):
-points are content-addressed, so ``--cache-dir`` makes repeated runs
-incremental (only points whose parameters changed are re-timed — the
-``make bench-incremental`` path), and ``--shard i/k`` splits the grid
-across processes/machines sharing one cache.  Timing points always
-execute serially in-process (``serial=True``) so concurrent workers never
-distort the measured wall clock.
-
-Usage::
-
-    python -m repro.perf.bench                # small scale, writes BENCH_1.json
-    python -m repro.perf.bench --scale full -o BENCH_1.json
-
-or from code / the benchmark harness::
-
-    from repro.perf import run_bench
-    report = run_bench(scale="small")
+The observer gate times the SRJ int kernel in three modes — ``base``
+(``observer=None``, the bare loop), ``noop`` (``NULL_OBSERVER``, pure
+dispatch overhead) and ``stats`` (``collect_stats=True``) — and gates
+``noop`` within :data:`GATE_NOOP` (5%) and ``stats`` within
+:data:`GATE_STATS` (30%) of ``base``.  Rounds are interleaved, each
+sample batches :data:`INNER` solves, and the gate *ratio* uses each
+mode's fastest batched sample: ambient load only ever inflates samples,
+so the batched minimum tracks noise-free kernel time, while a ratio of
+two independently-noisy medians can swing by more than the 5% gate on a
+busy host (a single-solve sample once drove BENCH_3 to −0.42%).
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
+import random
 import resource
 import statistics
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
-from ..sweep import SweepSpec, run_sweep, scale_grid
-from .intkernel import solve_srj
-from .parallel import BACKOFF_BASE, seed_for
+from ..sweep import SweepSpec, scale_grid
+from .parallel import seed_for
 
-__all__ = ["run_bench", "bench_spec", "peak_rss_kb", "write_report"]
+__all__ = [
+    "SCHEMA", "GATE_NOOP", "GATE_STATS", "peak_rss_kb",
+    "srj_point", "srt_point", "obs_point", "axis_spec", "obs_spec",
+    "power_law_summary", "obs_summary",
+]
 
 #: schema version of the emitted JSON (bump on incompatible change);
 #: 2 = timing columns are median-of-reps with ``*_mean_s`` alongside
 SCHEMA = 2
+
+#: maximum tolerated relative overhead of an installed no-op observer
+GATE_NOOP = 0.05
+
+#: maximum tolerated relative overhead of full stats collection
+GATE_STATS = 0.30
+
+MODES = ("base", "noop", "stats")
+
+#: solves per timed observer sample — a single small-scale solve is only a
+#: few ms, where OS jitter alone swings samples by ±5%; batching stretches
+#: each sample past ~10 ms so the ratio is decided by the kernels
+INNER = 5
 
 
 def peak_rss_kb() -> int:
@@ -63,40 +80,23 @@ def peak_rss_kb() -> int:
     return int(rss)
 
 
-def _sweep_points(scale: str) -> Dict[str, List[int]]:
-    """The E4 grid (now shared via :func:`repro.sweep.scale_grid`)."""
-    return scale_grid("srj", scale)
-
-
-def _time_backend(inst, backend: str, reps: int) -> Tuple[List[float], int]:
+def _time_backend(solve: Callable, problem, backend: str,
+                  reps: int) -> Tuple[List[float], object]:
     times: List[float] = []
-    makespan = 0
+    result = None
     for _ in range(reps):
         t0 = time.perf_counter()
-        res = solve_srj(inst, backend=backend)
+        result = solve(problem, backend=backend)
         times.append(time.perf_counter() - t0)
-        makespan = res.makespan
-    return times, makespan
+    return times, result
 
 
-def _bench_point(params: Dict) -> Dict[str, object]:
-    """Solve-and-time one grid point (pure function of *params*)."""
-    from ..workloads import make_instance
-    import random
-
-    m, n, reps = params["m"], params["n"], params["reps"]
-    rng = random.Random(params["seed"])
-    inst = make_instance("uniform", rng, m, n)
-    t_frac, mk_frac = _time_backend(inst, "fraction", reps)
-    t_int, mk_int = _time_backend(inst, "int", reps)
-    if mk_frac != mk_int:
-        raise AssertionError(
-            f"backend mismatch at (m={m}, n={n}): "
-            f"fraction makespan {mk_frac} != int makespan {mk_int}"
-        )
+def _time_both_backends(solve: Callable, problem, reps: int):
+    """``(fraction result, int result, timing columns)`` of *solve*."""
+    t_frac, res_frac = _time_backend(solve, problem, "fraction", reps)
+    t_int, res_int = _time_backend(solve, problem, "int", reps)
     med_frac, med_int = statistics.median(t_frac), statistics.median(t_int)
-    return {
-        "sweep": params["sweep"], "m": m, "n": n, "makespan": mk_frac,
+    return res_frac, res_int, {
         "fraction_s": round(med_frac, 6), "int_s": round(med_int, 6),
         "speedup": round(med_frac / med_int, 2) if med_int > 0
         else float("inf"),
@@ -105,179 +105,168 @@ def _bench_point(params: Dict) -> Dict[str, object]:
     }
 
 
-def bench_spec(
-    scale: str = "small", seed: int = 0, reps: Optional[int] = None
-) -> SweepSpec:
-    """The E4 runtime sweep as a fabric spec (n-sweep then m-sweep)."""
-    p = _sweep_points(scale)
-    reps = reps if reps is not None else p["reps"][0]
-    m_fixed, n_fixed = p["m_fixed"][0], p["n_fixed"][0]
-    params: List[Dict] = []
-    idx = 0
-    for n in p["ns"]:
-        params.append({"sweep": "n", "m": m_fixed, "n": n,
-                       "seed": seed_for(seed, idx), "reps": reps})
-        idx += 1
-    for m in p["ms"]:
-        params.append({"sweep": "m", "m": m, "n": n_fixed,
-                       "seed": seed_for(seed, idx), "reps": reps})
-        idx += 1
-    return SweepSpec.from_points(
-        "bench-srj", _bench_point, params, version=f"v{SCHEMA}", serial=True
-    )
+def srj_point(params: Dict) -> Dict[str, object]:
+    """Solve-and-time one E4 grid point (pure function of *params*)."""
+    from ..engine import solve_srj
+    from ..workloads import make_instance
+
+    m, n = params["m"], params["n"]
+    inst = make_instance("uniform", random.Random(params["seed"]), m, n)
+    frac, fast, columns = _time_both_backends(solve_srj, inst, params["reps"])
+    if frac.makespan != fast.makespan:
+        raise AssertionError(
+            f"backend mismatch at (m={m}, n={n}): "
+            f"fraction makespan {frac.makespan} != int makespan "
+            f"{fast.makespan}"
+        )
+    return {"sweep": params["sweep"], "m": m, "n": n,
+            "makespan": frac.makespan, **columns}
 
 
-def run_bench(
+def srt_point(params: Dict) -> Dict[str, object]:
+    """Solve-and-time one SRT grid point (pure function of *params*)."""
+    from ..tasks import solve_srt
+    from ..workloads import make_taskset
+
+    m, k = params["m"], params["k"]
+    ti = make_taskset("mixed", random.Random(params["seed"]), m, k)
+    frac, fast, columns = _time_both_backends(solve_srt, ti, params["reps"])
+    if frac.completion_times != fast.completion_times:
+        raise AssertionError(
+            f"backend mismatch at (m={m}, k={k}): completion times "
+            "differ between fraction and int"
+        )
+    return {
+        "sweep": params["sweep"], "m": m, "k": k, "n_jobs": ti.n_jobs,
+        "makespan": frac.makespan,
+        "sum_completion": frac.sum_completion_times(), **columns,
+    }
+
+
+def _solve_mode(inst, mode: str):
+    from ..engine import solve_srj
+    from ..obs import NULL_OBSERVER
+
+    if mode == "base":
+        return solve_srj(inst, backend="int")
+    if mode == "noop":
+        return solve_srj(inst, backend="int", observer=NULL_OBSERVER)
+    return solve_srj(inst, backend="int", collect_stats=True)
+
+
+def obs_point(params: Dict) -> Dict[str, object]:
+    """Time the three instrumentation modes on one shape (pure in *params*)."""
+    from ..workloads import make_instance
+
+    m, n, reps = params["m"], params["n"], params["reps"]
+    inst = make_instance("uniform", random.Random(params["seed"]), m, n)
+    # warm-up round: JIT-free Python still benefits (allocator, caches)
+    # and it cross-checks that instrumentation never changes the result
+    makespans = {mode: _solve_mode(inst, mode).makespan for mode in MODES}
+    if len(set(makespans.values())) != 1:
+        raise AssertionError(
+            f"observer changed the schedule at (m={m}, n={n}): "
+            f"{makespans}"
+        )
+    times: Dict[str, List[float]] = {mode: [] for mode in MODES}
+    for _ in range(reps):
+        for mode in MODES:  # interleaved: noise hits all modes alike
+            t0 = time.perf_counter()
+            for _ in range(INNER):
+                _solve_mode(inst, mode)
+            times[mode].append((time.perf_counter() - t0) / INNER)
+    med = {mode: statistics.median(times[mode]) for mode in MODES}
+    mean = {mode: sum(times[mode]) / reps for mode in MODES}
+    best = {mode: min(times[mode]) for mode in MODES}
+    return {
+        "m": m, "n": n, "makespan": makespans["base"],
+        "base_s": round(med["base"], 6),
+        "noop_s": round(med["noop"], 6),
+        "stats_s": round(med["stats"], 6),
+        "noop_overhead": round(best["noop"] / best["base"] - 1.0, 4),
+        "stats_overhead": round(best["stats"] / best["base"] - 1.0, 4),
+        "base_mean_s": round(mean["base"], 6),
+        "noop_mean_s": round(mean["noop"], 6),
+        "stats_mean_s": round(mean["stats"], 6),
+    }
+
+
+def axis_spec(
+    name: str,
+    point: Callable[[Dict], Dict],
+    kind: str,
+    axis: str,
     scale: str = "small",
     seed: int = 0,
-    out: Optional[str] = None,
     reps: Optional[int] = None,
-    cache_dir: Optional[str] = None,
-    workers: Optional[int] = None,
-    shard: Optional[Tuple[int, int]] = None,
-    spans: bool = False,
-    timeout: Optional[float] = None,
-    retries: int = 2,
-    backoff: float = BACKOFF_BASE,
-) -> Dict[str, object]:
-    """Run the two-backend E4 sweep; return (and optionally write) a report.
+) -> SweepSpec:
+    """A two-axis runtime sweep: *axis* at fixed m, then m at fixed *axis*.
 
-    With *cache_dir*, previously solved points are reused (their recorded
-    timings included) and only new points are timed; with *shard* only the
-    ``index % k == i`` slice runs and the summary is omitted (``partial``)
-    until an unsharded merge run assembles the full report from cache.
-    *spans* (requires *cache_dir*) emits the hierarchical span trace.
-    *timeout*/*retries*/*backoff* are the hardened-runner knobs (the
-    ``--timeout/--retries/--backoff`` CLI flags).
+    Reads the ``<axis>s``, ``ms``, ``<axis>_fixed``, ``m_fixed`` and
+    ``reps`` entries of ``scale_grid(kind, scale)``; point *i* is seeded
+    ``seed_for(seed, i)`` and tagged ``sweep=<axis>`` or ``sweep=m``.
     """
-    spec = bench_spec(scale=scale, seed=seed, reps=reps)
-    sweep = run_sweep(
-        spec, cache_dir=cache_dir, workers=workers, shard=shard, spans=spans,
-        timeout=timeout, retries=retries, backoff=backoff,
+    grid = scale_grid(kind, scale)
+    reps = reps if reps is not None else grid["reps"][0]
+    m_fixed, size_fixed = grid["m_fixed"][0], grid[f"{axis}_fixed"][0]
+    cells = [(axis, m_fixed, size) for size in grid[f"{axis}s"]]
+    cells += [("m", m, size_fixed) for m in grid["ms"]]
+    params = [
+        {"sweep": sweep, "m": m, axis: size,
+         "seed": seed_for(seed, idx), "reps": reps}
+        for idx, (sweep, m, size) in enumerate(cells)
+    ]
+    return SweepSpec.from_points(
+        name, point, params, version=f"v{SCHEMA}", serial=True
     )
-    rows = sweep.rows
-    report: Dict[str, object] = {
-        "schema": SCHEMA,
-        "bench": "E4 runtime, fraction vs int backend",
-        "scale": scale,
-        "seed": seed,
-        "reps": spec.points[0].params["reps"] if spec.points else reps,
-        "python": platform.python_version(),
-        "platform": platform.platform(),
-        "cache": {"hits": sweep.cache_hits, "solved": sweep.solved},
-        "rows": rows,
+
+
+def obs_spec(
+    scale: str = "small", seed: int = 0, reps: Optional[int] = None
+) -> SweepSpec:
+    """The observer-overhead sweep (one point per ``(m, n)`` shape)."""
+    grid = scale_grid("obs", scale)
+    reps = reps if reps is not None else grid["reps"][0]
+    params = [
+        {"m": m, "n": n, "seed": seed_for(seed, idx), "reps": reps}
+        for idx, (m, n) in enumerate(grid["shapes"])
+    ]
+    return SweepSpec.from_points(
+        "bench-obs", obs_point, params, version=f"v{SCHEMA}", serial=True
+    )
+
+
+def power_law_summary(rows: List[Dict], axis: str) -> Dict[str, object]:
+    """Speedups and the per-backend power-law exponent of time vs *axis*."""
+    from ..analysis.stats import fit_power_law
+
+    sized = [r for r in rows if r["sweep"] == axis]
+    largest = max(sized, key=lambda r: r[axis])
+    summary: Dict[str, object] = {f"largest_{axis}": largest[axis]}
+    if "n_jobs" in largest:
+        summary["largest_n_jobs"] = largest["n_jobs"]
+    summary[f"speedup_at_largest_{axis}"] = largest["speedup"]
+    summary["max_speedup"] = max(r["speedup"] for r in rows)
+    summary["min_speedup"] = min(r["speedup"] for r in rows)
+    xs = [float(r[axis]) for r in sized]
+    for backend in ("fraction", "int"):
+        exponent, _ = fit_power_law(
+            xs, [max(r[f"{backend}_s"], 1e-9) for r in sized]
+        )
+        summary[f"power_law_exponent_{backend}"] = round(exponent, 3)
+    summary["peak_rss_kb"] = peak_rss_kb()
+    return summary
+
+
+def obs_summary(rows: List[Dict]) -> Dict[str, object]:
+    """Worst overhead per mode against :data:`GATE_NOOP`/:data:`GATE_STATS`."""
+    max_noop = max(r["noop_overhead"] for r in rows)
+    max_stats = max(r["stats_overhead"] for r in rows)
+    return {
+        "max_noop_overhead": max_noop,
+        "max_stats_overhead": max_stats,
+        "gate_noop": GATE_NOOP,
+        "gate_stats": GATE_STATS,
+        "passed": max_noop <= GATE_NOOP and max_stats <= GATE_STATS,
+        "peak_rss_kb": peak_rss_kb(),
     }
-    if sweep.complete:
-        n_rows = [r for r in rows if r["sweep"] == "n"]
-        largest = max(n_rows, key=lambda r: r["n"])
-        from ..analysis.stats import fit_power_law
-
-        exp_frac, _ = fit_power_law(
-            [float(r["n"]) for r in n_rows],
-            [max(r["fraction_s"], 1e-9) for r in n_rows],
-        )
-        exp_int, _ = fit_power_law(
-            [float(r["n"]) for r in n_rows],
-            [max(r["int_s"], 1e-9) for r in n_rows],
-        )
-        report["summary"] = {
-            "largest_n": largest["n"],
-            "speedup_at_largest_n": largest["speedup"],
-            "max_speedup": max(r["speedup"] for r in rows),
-            "min_speedup": min(r["speedup"] for r in rows),
-            "power_law_exponent_fraction": round(exp_frac, 3),
-            "power_law_exponent_int": round(exp_int, 3),
-            "peak_rss_kb": peak_rss_kb(),
-        }
-    else:
-        report["partial"] = True
-    if out:
-        write_report(report, out)
-    return report
-
-
-def write_report(report: Dict[str, object], path: str) -> None:
-    """Write *report* as pretty-printed JSON to *path*."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=False)
-        fh.write("\n")
-
-
-def parse_shard(text: Optional[str]) -> Optional[Tuple[int, int]]:
-    """Parse an ``i/k`` shard flag (e.g. ``0/4``) into a tuple."""
-    if text is None:
-        return None
-    try:
-        i_text, k_text = text.split("/", 1)
-        i, k = int(i_text), int(k_text)
-    except ValueError:
-        raise ValueError(f"invalid shard {text!r}: expected i/k") from None
-    if k < 1 or not (0 <= i < k):
-        raise ValueError(f"invalid shard {text!r}: need 0 <= i < k")
-    return (i, k)
-
-
-def add_sweep_flags(parser: argparse.ArgumentParser) -> None:
-    """The fabric flags shared by every bench CLI."""
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="content-addressed result cache; repeated runs only solve "
-        "new points (see docs/SCALING.md)",
-    )
-    parser.add_argument(
-        "--shard", default=None, metavar="I/K",
-        help="run only points with index %% K == I into the shared cache",
-    )
-    parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument(
-        "--timeout", type=float, default=None, metavar="SECONDS",
-        help="per-point wall-clock bound enforced by the hardened runner "
-        "(default: unbounded)",
-    )
-    parser.add_argument(
-        "--retries", type=int, default=2, metavar="N",
-        help="re-runs for points lost to a crashed worker or a timeout "
-        "(default: 2)",
-    )
-    parser.add_argument(
-        "--backoff", type=float, default=BACKOFF_BASE, metavar="SECONDS",
-        help="base delay between retry rounds, doubled each round "
-        f"(default: {BACKOFF_BASE})",
-    )
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.perf.bench",
-        description="two-backend E4 runtime bench; emits BENCH_1.json",
-    )
-    parser.add_argument("--scale", choices=("small", "full"), default="small")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("-o", "--out", default="BENCH_1.json")
-    add_sweep_flags(parser)
-    args = parser.parse_args(argv)
-    report = run_bench(
-        scale=args.scale, seed=args.seed, out=args.out,
-        cache_dir=args.cache_dir, shard=parse_shard(args.shard),
-        workers=args.workers, timeout=args.timeout, retries=args.retries,
-        backoff=args.backoff,
-    )
-    print(f"wrote {args.out}")
-    if "summary" in report:
-        s = report["summary"]
-        print(
-            f"speedup at n={s['largest_n']}: {s['speedup_at_largest_n']}x "
-            f"(max {s['max_speedup']}x, min {s['min_speedup']}x); "
-            f"peak RSS {s['peak_rss_kb']} KiB"
-        )
-    else:
-        c = report["cache"]
-        print(
-            f"partial (shard {args.shard}): {len(report['rows'])} rows, "
-            f"{c['hits']} cached, {c['solved']} solved"
-        )
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI entry
-    raise SystemExit(main())

@@ -1,6 +1,6 @@
 """The experiment fabric: sharded, resumable, content-addressed sweeps.
 
-Every sweep in the repo — the BENCH harnesses, the fault-injection stress
+Every sweep in the repo — the BENCH artifacts, the fault-injection stress
 sweep and the heavy E/F-series experiment fan-outs — runs through this
 one subsystem instead of its own ad-hoc loop:
 
@@ -16,9 +16,10 @@ one subsystem instead of its own ad-hoc loop:
   where it stopped and merged results are bit-identical for any worker
   count, shard count or interrupt pattern.
 * :func:`scale_grid` (:mod:`.grids`) — the shared small/full scale grids
-  the bench harnesses used to duplicate.
-* :data:`SWEEPS` (:mod:`.registry`) — the named sweeps behind the
-  ``repro-sched sweep run|resume|status`` CLI.
+  the bench rows read.
+* :data:`SWEEPS` (:mod:`.registry`) — the bench registry: every
+  BENCH/FAULTSWEEP artifact is one row, produced by
+  ``repro-sched sweep run <name>``.
 
 See ``docs/SCALING.md`` for the architecture, resume semantics and
 cache-invalidation rules; ``python -m repro.sweep.smoke`` is the

@@ -1,10 +1,9 @@
-"""Shared scale grids for the bench harnesses.
+"""Shared scale grids for the bench rows of the sweep registry.
 
-``repro/perf/bench.py`` and ``repro/perf/bench_srt.py`` used to carry
-near-identical private ``_sweep_points(scale)`` tables; this module is the
-one place those grids live now (``bench_obs`` too).  Each grid maps a
-``scale`` knob (``"small"`` for CI-fast runs, ``"full"`` for the benchmark
-harness) to the axis values of that bench's sweep.
+This module is the one place the BENCH grids live (read by
+:func:`repro.perf.bench.axis_spec` and :func:`repro.perf.bench.obs_spec`).
+Each grid maps a ``scale`` knob (``"small"`` for CI-fast runs, ``"full"``
+for the recorded numbers) to the axis values of that bench's sweep.
 """
 
 from __future__ import annotations

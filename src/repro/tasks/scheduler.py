@@ -116,7 +116,7 @@ def solve_srt(
     collect_stats: bool = False,
 ) -> TaskScheduleResult:
     """Backend-selectable SRT entry point (alias of :func:`schedule_tasks`
-    with the backend argument first, mirroring :func:`repro.perf.solve_srj`).
+    with the backend argument first, mirroring :func:`repro.engine.solve_srj`).
     """
     return schedule_tasks(
         instance, record_steps=record_steps, backend=backend,

@@ -338,8 +338,9 @@ class TestFileCommands:
 
     def test_sweep_trace_spans_round_trip(self, tmp_path, capsys):
         cache = ["--cache-dir", str(tmp_path)]
+        out = ["-o", str(tmp_path / "FAULTSWEEP.json")]
         assert main(
-            ["sweep", "run", "faultsweep", *cache, "--trace-spans"]
+            ["sweep", "run", "faultsweep", *cache, *out, "--trace-spans"]
         ) == 0
         capsys.readouterr()
         assert main(["sweep", "trace", "faultsweep", *cache]) == 0

@@ -11,13 +11,14 @@ import time
 
 import pytest
 
-from repro.perf.faultsweep import fault_sweep
+from repro.perf.faultsweep import faultsweep_spec
 from repro.perf.parallel import (
     ParallelExecutionError,
     _jitter_factor,
     parallel_map,
     seed_for,
 )
+from repro.sweep import run_sweep
 
 
 def _square(x):
@@ -132,14 +133,18 @@ class TestJitter:
         assert seed_for(0, 0) != seed_for(0, 1)
 
 
+def _fault_rows(workers):
+    """Rows of a 5-trial fault sweep (seed 2026) run on *workers*."""
+    return run_sweep(faultsweep_spec(trials=5, m=3, n=10),
+                     workers=workers).rows
+
+
 class TestFaultSweep:
     def test_rows_worker_count_independent(self):
-        a = fault_sweep(trials=5, m=3, n=10, workers=1)
-        b = fault_sweep(trials=5, m=3, n=10, workers=4)
-        assert a == b
+        assert _fault_rows(1) == _fault_rows(4)
 
     def test_all_rows_valid(self):
-        rows = fault_sweep(trials=5, m=3, n=10, workers=2)
+        rows = _fault_rows(2)
         assert all(row["valid"] for row in rows)
         assert [row["seed"] for row in rows] == [
             seed_for(2026, i) for i in range(5)

@@ -1,12 +1,12 @@
-"""Tests for the repro.perf subsystem: the exact scaled-integer kernel,
-backend equivalence, the parallel sweep runner, and the bench harness.
+"""Tests for the scaled-integer backend, backend equivalence, the
+parallel sweep runner (:mod:`repro.perf`) and the bench registry.
 
 The central claims under test (ISSUE: exact integer kernel):
 
 * ``accelerate=True`` and ``accelerate=False`` produce the *same schedule*
   (makespan, completion times, per-step shares) — the bulk-stepping fast
   path is a pure optimization;
-* the scaled-integer backend of :func:`repro.perf.solve_srj` is *exact*:
+* the scaled-integer backend of :func:`repro.engine.solve_srj` is *exact*:
   identical makespans, completion times and traces to the Fraction
   reference, not merely approximately equal.
 
@@ -24,20 +24,17 @@ from pathlib import Path
 import pytest
 
 from repro.binpacking import make_items, pack_sliding_window
+from repro.binpacking.bounds import packing_lower_bound
 from repro.core.instance import Instance
 from repro.core.scheduler import SlidingWindowScheduler, schedule_srj
 from repro.core.unit import schedule_unit
 from repro.core.validate import validate_result
-from repro.perf import (
-    auto_workers,
-    common_denominator,
-    int_pack_bins,
-    int_unit_makespan,
-    parallel_map,
-    seed_for,
-    solve_srj,
-)
-from repro.perf.bench import peak_rss_kb, write_report
+from repro.engine import solve_srj
+from repro.engine.api import unit_makespan
+from repro.engine.backends.integer import lcm_denominator
+from repro.perf import auto_workers, parallel_map, seed_for
+from repro.perf.bench import peak_rss_kb
+from repro.sweep.registry import get_sweep, run_entry
 from repro.workloads import FAMILIES, make_instance
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -127,7 +124,9 @@ class TestIntBackendExactness:
         inst = Instance.from_requirements(
             3, [Fraction(1, 3), Fraction(2, 7), Fraction(5, 6)]
         )
-        d = common_denominator(inst)
+        d = lcm_denominator(
+            Fraction(1), (job.requirement for job in inst.jobs)
+        )
         assert d % 3 == 0 and d % 7 == 0 and d % 6 == 0
         for job in inst.jobs:
             assert (job.requirement * d).denominator == 1
@@ -165,7 +164,9 @@ class TestUnitIntKernel:
                 Fraction(rng.randint(1, 2 * den), den) for _ in range(n)
             ]
             inst = Instance.from_requirements(m, reqs)
-            assert int_unit_makespan(reqs, m) == schedule_unit(inst).makespan
+            exact = schedule_unit(inst).makespan
+            assert schedule_unit(inst, backend="int").makespan == exact
+            assert unit_makespan(reqs, m, Fraction(1), backend="int") == exact
 
     def test_pack_matches_sliding_window(self):
         rng = random.Random(5)
@@ -175,10 +176,11 @@ class TestUnitIntKernel:
                 Fraction(rng.randint(1, 60), 50)
                 for _ in range(rng.randint(1, 20))
             ]
-            bins, info = int_pack_bins(sizes, k)
-            assert bins == pack_sliding_window(make_items(sizes), k).num_bins
-            assert bins >= info["volume_lb"]
-            assert bins >= info["cardinality_lb"]
+            items = make_items(sizes)
+            bins = pack_sliding_window(items, k, backend="int").num_bins
+            assert bins == pack_sliding_window(items, k).num_bins
+            # max of the volume and cardinality bounds
+            assert bins >= packing_lower_bound(items, k)
 
 
 def _square(x):
@@ -236,20 +238,19 @@ class TestBenchHarness:
 
         monkeypatch.setattr(
             bench,
-            "_sweep_points",
-            lambda scale: {
+            "scale_grid",
+            lambda kind, scale: {
                 "ns": [10, 20], "ms": [2, 3],
                 "n_fixed": [10], "m_fixed": [2], "reps": [1],
             },
         )
-        report = bench.run_bench(scale="small", seed=0)
+        out = tmp_path / "BENCH_1.json"
+        report = run_entry(get_sweep("bench"), "small", 0, out=str(out))
         assert report["schema"] == bench.SCHEMA
         assert len(report["rows"]) == 4
         for row in report["rows"]:
             assert row["speedup"] > 0
             assert row["makespan"] > 0
-        out = tmp_path / "BENCH_1.json"
-        write_report(report, out)
         assert json.loads(out.read_text())["summary"] == report["summary"]
 
     def test_repo_bench_artifact_if_present(self):

@@ -307,44 +307,51 @@ class TestGridsAndMigrations:
             scale_grid("nope", "small")
 
     def test_faultsweep_cache_and_shards(self, tmp_path):
-        from repro.perf.faultsweep import fault_sweep
+        from repro.perf.faultsweep import faultsweep_spec
 
-        kw = dict(trials=5, m=3, n=10, events=3, horizon=60)
-        reference = fault_sweep(**kw)
-        a = fault_sweep(**kw, cache_dir=tmp_path, shard=(0, 2))
-        b = fault_sweep(**kw, cache_dir=tmp_path, shard=(1, 2))
+        spec = faultsweep_spec(trials=5, m=3, n=10, events=3, horizon=60)
+        reference = run_sweep(spec).rows
+        a = run_sweep(spec, cache_dir=tmp_path, shard=(0, 2)).rows
+        b = run_sweep(spec, cache_dir=tmp_path, shard=(1, 2)).rows
         assert len(a) + len(b) == 5
-        merged = fault_sweep(**kw, cache_dir=tmp_path)
+        merged = run_sweep(spec, cache_dir=tmp_path).rows
         assert merged == reference
 
-    def test_bench_rows_match_prerefactor_artifact(self, tmp_path):
-        """The migrated bench reproduces the seed-0 small-scale makespans
-        recorded in the pre-refactor BENCH_1.json (rows byte-identical in
-        every deterministic field)."""
+    @pytest.mark.parametrize("name, artifact", [
+        ("bench", "BENCH_1.json"),
+        ("bench-srt", "BENCH_2.json"),
+        ("bench-obs", "BENCH_3.json"),
+        ("faultsweep", "FAULTSWEEP.json"),
+    ])
+    def test_bench_rows_match_prerefactor_artifact(self, name, artifact):
+        """Each registry row reproduces the identity fields (grid
+        parameters and deterministic results, per ``split_row``) of its
+        committed seed-0 small-scale artifact, in the same order."""
         from pathlib import Path
 
-        from repro.perf import bench
+        from repro.obs.timeseries import split_row
+        from repro.sweep.registry import get_sweep, run_entry
 
-        artifact = Path(__file__).resolve().parent.parent / "BENCH_1.json"
-        if not artifact.exists():
-            pytest.skip("BENCH_1.json not generated in this checkout")
-        recorded = json.loads(artifact.read_text())
-        if (recorded["scale"], recorded["seed"]) != ("small", 0):
-            pytest.skip("artifact not at the reference scale/seed")
-        report = bench.run_bench(scale="small", seed=0, reps=1)
+        path = Path(__file__).resolve().parent.parent / artifact
+        recorded = json.loads(path.read_text())
+        assert (recorded["scale"], recorded["seed"]) == ("small", 0)
+        report = run_entry(get_sweep(name), "small", 0, reps=1)
+        assert len(report["rows"]) == len(recorded["rows"])
         for new, old in zip(report["rows"], recorded["rows"]):
-            for field in ("sweep", "m", "n", "makespan"):
-                assert new[field] == old[field]
+            # items(), not the dicts: the field order must match too
+            assert (list(split_row(new)[0].items())
+                    == list(split_row(old)[0].items()))
 
     def test_bench_rows_report_median_and_mean(self, monkeypatch):
         from repro.perf import bench
+        from repro.sweep.registry import get_sweep, run_entry
 
         monkeypatch.setattr(
-            bench, "_sweep_points",
-            lambda scale: {"ns": [10, 20], "ms": [2], "n_fixed": [10],
-                           "m_fixed": [2], "reps": [3]},
+            bench, "scale_grid",
+            lambda kind, scale: {"ns": [10, 20], "ms": [2], "n_fixed": [10],
+                                 "m_fixed": [2], "reps": [3]},
         )
-        report = bench.run_bench(scale="small", seed=0)
+        report = run_entry(get_sweep("bench"), "small", 0)
         for row in report["rows"]:
             assert set(
                 ("fraction_s", "int_s", "fraction_mean_s", "int_mean_s")
@@ -389,6 +396,43 @@ class TestSweepCli:
         assert "8 rows (8 cached, 0 solved)" in capsys.readouterr().out
         report = json.loads((tmp_path / "FS.json").read_text())
         assert report["summary"]["invalid"] == 0
+
+    def test_faultsweep_invalid_trial_exits_1(self, tmp_path, monkeypatch):
+        """One invalid recovered schedule fails the run (CI's gate)."""
+        from dataclasses import replace
+
+        from repro.cli import main
+        from repro.perf import faultsweep
+
+        real, calls = faultsweep.validate_faulted, []
+
+        def first_invalid(result):
+            calls.append(result)
+            report = real(result)
+            if len(calls) == 1:
+                report = replace(report, ok=False, violations=["injected"])
+            return report
+
+        monkeypatch.setattr(faultsweep, "validate_faulted", first_invalid)
+        out = tmp_path / "FS.json"
+        assert main(
+            ["sweep", "run", "faultsweep", "--workers", "1",
+             "--cache-dir", str(tmp_path / "cache"), "-o", str(out)]
+        ) == 1
+        summary = json.loads(out.read_text())["summary"]
+        assert summary == {"trials": 8, "invalid": 1, "passed": False}
+
+    def test_bench_obs_failed_gate_exits_1(self, tmp_path, monkeypatch):
+        from repro.cli import main
+        from repro.perf import bench
+
+        monkeypatch.setattr(bench, "GATE_STATS", -1.0)
+        out = tmp_path / "B3.json"
+        assert main(
+            ["sweep", "run", "bench-obs", "--cache-dir", str(tmp_path),
+             "-o", str(out)]
+        ) == 1
+        assert json.loads(out.read_text())["summary"]["passed"] is False
 
     def test_unknown_sweep_exits_2(self, tmp_path, capsys):
         from repro.cli import main

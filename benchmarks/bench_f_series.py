@@ -1,13 +1,12 @@
 """F1–F3 — figure series: ratio-vs-m curves, runtime scaling, o(1) decay.
 
-Also micro-benchmarks the float fast path (used for the largest F2 points)
-against the exact Fraction scheduler at the same size.
+Also micro-benchmarks the scaled-integer unit-size kernel against the
+exact Fraction scheduler at the same size.
 """
 
 import random
 
 from repro.analysis import run_f1, run_f2, run_f3
-from repro.core.fastfloat import fast_unit_makespan
 from repro.core.unit import schedule_unit
 from repro.workloads import unit_instance
 
@@ -29,11 +28,6 @@ def bench_f3_srt_decay(benchmark, capsys):
     run_table(benchmark, capsys, run_f3)
 
 
-def _unit_reqs(n=2000):
-    rng = random.Random(42)
-    return [rng.randint(1, 64) / 64 for _ in range(n)]
-
-
 def bench_unit_exact_n2000(benchmark):
     inst = unit_instance(random.Random(42), 8, 2000)
     benchmark.pedantic(
@@ -41,15 +35,15 @@ def bench_unit_exact_n2000(benchmark):
     )
 
 
-def bench_unit_float_n2000(benchmark):
-    reqs = _unit_reqs(2000)
-    result = benchmark(fast_unit_makespan, reqs, 8)
-    assert result > 0
+def bench_unit_int_n2000(benchmark):
+    inst = unit_instance(random.Random(42), 8, 2000)
+    result = benchmark(schedule_unit, inst, backend="int")
+    assert result.makespan > 0
 
 
-def bench_unit_float_n20000(benchmark):
-    reqs = _unit_reqs(20000)
+def bench_unit_int_n20000(benchmark):
+    inst = unit_instance(random.Random(42), 16, 20000)
     result = benchmark.pedantic(
-        lambda: fast_unit_makespan(reqs, 16), rounds=3, iterations=1
+        lambda: schedule_unit(inst, backend="int"), rounds=3, iterations=1
     )
-    assert result > 0
+    assert result.makespan > 0

@@ -5,7 +5,7 @@ other on fresh random instances:
 
 * accelerated scheduler ≡ step-exact scheduler ≡ policy-through-engine
   (three code paths, one algorithm);
-* float unit mirror ≡ exact unit scheduler (dyadic inputs);
+* scaled-integer unit kernel ≡ exact-rational unit scheduler;
 * bin packing via reduction ≡ unit scheduling directly;
 * every schedule passes the first-principles validator;
 * lower bounds never exceed achieved makespans; guarantees hold.
@@ -49,7 +49,6 @@ def run_selftest(trials: int = 25, seed: int = 0) -> SelfTestResult:
         packing_lower_bound,
     )
     from ..core.bounds import makespan_lower_bound
-    from ..core.fastfloat import fast_unit_makespan
     from ..core.instance import Instance
     from ..core.scheduler import SlidingWindowScheduler
     from ..core.unit import schedule_unit
@@ -96,10 +95,10 @@ def run_selftest(trials: int = 25, seed: int = 0) -> SelfTestResult:
         unit_reqs = [Fraction(rng.randint(1, 64), 64) for _ in range(n)]
         unit_inst = Instance.from_requirements(m, unit_reqs)
         exact_unit = schedule_unit(unit_inst).makespan
-        float_unit = fast_unit_makespan([float(r) for r in unit_reqs], m)
+        int_unit = schedule_unit(unit_inst, backend="int").makespan
         result.record(
-            exact_unit == float_unit,
-            f"{tag}: float mirror {float_unit} != exact {exact_unit}",
+            exact_unit == int_unit,
+            f"{tag}: int unit kernel {int_unit} != exact {exact_unit}",
         )
         items = make_items(unit_reqs)
         packing = pack_sliding_window(items, m)

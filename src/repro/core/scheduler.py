@@ -23,11 +23,9 @@ Since the engine refactor the step loop itself lives in
 driven by :func:`repro.engine.api.solve_srj`); this module keeps the
 historical entry points on the exact-rational backend and re-exports the
 canonical trace types (:class:`TraceRun`, :class:`SRJResult`, now defined
-in :mod:`repro.engine.trace`).  The step-by-step auxiliary procedures
-(``compute_window``/``compute_assignment`` over a
-:class:`~repro.core.state.SchedulerState`) remain available in
-:mod:`repro.core.window` / :mod:`repro.core.assignment` for the validators
-and the simulator policies.
+in :mod:`repro.engine.trace`).  The step-exact Listing-1 reference
+(``compute_window``/``compute_assignment``) lives in
+:mod:`repro.engine.policies`.
 
 The produced trace is run-length encoded; :meth:`SRJResult.schedule`
 expands it to a full :class:`~repro.core.schedule.Schedule` on demand.
@@ -39,9 +37,6 @@ from fractions import Fraction
 from typing import Optional
 
 from ..engine import api as _engine
-from ..engine.backends.fraction import (
-    steps_until_status_change as _steps_until_status_change,
-)
 from ..engine.trace import SRJResult, TraceRun
 from .instance import Instance
 
@@ -51,13 +46,6 @@ __all__ = [
     "SlidingWindowScheduler",
     "schedule_srj",
 ]
-
-#: trivial m = 1 serial scheduler (kept under its historical name)
-_run_serial = _engine.run_serial
-
-# re-exported for the bulk-horizon tests (historical location)
-_steps_until_status_change = _steps_until_status_change
-
 
 class SlidingWindowScheduler:
     """Listing 1 — the ``2 + 1/(m-2)``-approximation for SRJ.

@@ -1,4 +1,4 @@
-"""Job windows — Definition 3.1 and the auxiliary procedures of Listing 2.
+"""Job windows — Definition 3.1 and its k-maximality checker.
 
 A *job window* ``W ⊆ J(t-1)`` for time step ``t`` satisfies
 
@@ -14,11 +14,12 @@ A *job window* ``W ⊆ J(t-1)`` for time step ``t`` satisfies
 (f) ``r(W) < R  ⇒  R_t(W) = ∅`` (resource-deficient windows hug the right
     border).
 
-The procedures :func:`grow_window_left`, :func:`grow_window_right` and
-:func:`move_window_right` are verbatim implementations of Listing 2, with
-the generalized ``size``/``R`` parameters used by the Section 4 task
-schedulers, and an optional *universe* restriction (the task algorithms run
-the window over the jobs of a single task only).
+This module is the independent Definition-3.1 checker
+(:func:`window_violations`, :func:`is_k_maximal`) the tests hold every
+computed window to.  The Listing-2 procedures that *compute* windows live
+in :mod:`repro.engine.policies` (``grow_window_left``,
+``grow_window_right``, ``move_window_right``, ``compute_window``); this
+checker deliberately shares no code with them.
 
 Windows are represented as sorted lists of job ids; the universe is the
 sorted list of eligible unfinished job ids.
@@ -68,111 +69,8 @@ def window_requirement_without_max(
     return frac_sum(state.instance.requirement(j) for j in window[:-1])
 
 
-def grow_window_left(
-    state: SchedulerState,
-    universe: Sequence[int],
-    window: Window,
-    size: int,
-    budget: Fraction,
-) -> Window:
-    """Listing 2, ``GrowWindowLeft``: extend W by ``max L_t(W)`` while
-    ``|W| < size`` and ``L_t(W) ≠ ∅`` and the window stays feasible.
-
-    **Deviation from the printed pseudocode (see DESIGN.md §2).**  The paper
-    gates each add on ``r(W) < R``.  That breaks Lemma 3.7 / Claim 3.6 in an
-    edge case: if the window's fractured ``max W`` has a large requirement
-    (so ``r(W) ≥ R`` through ``r_max`` alone) while all smaller window jobs
-    just finished, left growth is blocked and property (e) fails — the
-    algorithm then idles most of the resource for a step.  We instead gate
-    on ``r((W ∪ {j}) \\ {max W}) < R``, i.e. adding may not break window
-    property (b).  This is weaker (adds at least as often): for a left add
-    ``r(W∪{j}) - r_max + ... ≤ r(W)``, so every add the printed code makes
-    is also made here, property (b) is preserved *explicitly*, and the
-    Claim 3.6 argument (new left jobs have requirements no larger than the
-    finished jobs they replace) goes through, restoring Lemma 3.7.
-    """
-    window = list(window)
-    lo = bisect_left(universe, window[0]) if window else 0
-    r_without_max = window_requirement_without_max(state, window)
-    while len(window) < size and lo > 0:
-        new_job = universe[lo - 1]
-        if r_without_max + state.instance.requirement(new_job) >= budget:
-            break
-        window.insert(0, new_job)
-        r_without_max += state.instance.requirement(new_job)
-        lo -= 1
-    return window
-
-
-def grow_window_right(
-    state: SchedulerState,
-    universe: Sequence[int],
-    window: Window,
-    size: int,
-    budget: Fraction,
-) -> Window:
-    """Listing 2, ``GrowWindowRight``: extend W by ``min R_t(W)`` while
-    ``r(W) < R`` and ``R_t(W) ≠ ∅`` and ``|W| < size``."""
-    window = list(window)
-    r_w = window_requirement(state, window)
-    hi = bisect_right(universe, window[-1]) if window else 0
-    while r_w < budget and hi < len(universe) and len(window) < size:
-        new_job = universe[hi]
-        window.append(new_job)
-        r_w += state.instance.requirement(new_job)
-        hi += 1
-    return window
-
-
-def move_window_right(
-    state: SchedulerState,
-    universe: Sequence[int],
-    window: Window,
-    budget: Fraction,
-) -> Window:
-    """Listing 2, ``MoveWindowRight``: while ``r(W) < R``, ``R_t(W) ≠ ∅`` and
-    the leftmost window job is unstarted, slide the window one job to the
-    right (drop ``min W``, add ``min R_t(W)``)."""
-    window = list(window)
-    if not window:
-        return window
-    r_w = window_requirement(state, window)
-    hi = bisect_right(universe, window[-1])
-    while (
-        r_w < budget
-        and hi < len(universe)
-        and not state.is_started(window[0])
-    ):
-        dropped = window.pop(0)
-        r_w -= state.instance.requirement(dropped)
-        new_job = universe[hi]
-        window.append(new_job)
-        r_w += state.instance.requirement(new_job)
-        hi += 1
-    return window
-
-
-def compute_window(
-    state: SchedulerState,
-    previous_window: Window,
-    size: int,
-    budget: Fraction,
-    universe: Optional[Sequence[int]] = None,
-) -> Window:
-    """Lines 2–5 of Listing 1: intersect with unfinished jobs, grow left,
-    grow right, move right.  Returns the window for the next step."""
-    if universe is None:
-        universe = state.unfinished()
-    alive = set(universe)
-    window = [j for j in previous_window if j in alive]
-    window = grow_window_left(state, universe, window, size, budget)
-    window = grow_window_right(state, universe, window, size, budget)
-    window = move_window_right(state, universe, window, budget)
-    return window
-
-
 # ---------------------------------------------------------------------------
-# Property checking (used by tests and the validating scheduler mode)
+# Property checking (used by the tests)
 # ---------------------------------------------------------------------------
 
 

@@ -7,15 +7,22 @@ written generically over the numeric backend (see
 module is covered by the ``hotpath-exact`` lint rule).  The policies:
 
 * :class:`SlidingWindowPolicy` — Listing 1 (general SRJ), the hot loop
-  formerly in ``perf/intkernel.py`` / ``core/scheduler.py``;
+  behind ``core/scheduler.py``;
 * :class:`UnitWindowPolicy` — the unit-size m-maximal-window variant
-  (``core/unit.py`` / ``perf/unitint.py``);
+  (``core/unit.py``);
 * :class:`SequentialTaskPolicy` — the Listing-3/4 SRT engine
   (``tasks/sequential.py``);
 * :class:`OnlineWindowPolicy` / :class:`OnlineListPolicy` — the
   arrival-aware schedulers (``online/scheduler.py``);
 * :class:`AssignedQueuePolicy` — the fixed-assignment head-of-queue
   distribution policies (``assigned/scheduler.py``).
+
+:func:`compute_window` / :func:`compute_assignment` (composed of the
+Listing-2 procedures :func:`grow_window_left`, :func:`grow_window_right`
+and :func:`move_window_right`) are the step-exact Listing-1 reference over
+an explicit job universe: the online layer and the simulator policy run
+them, and the tests compare them against the fast
+:class:`SlidingWindowPolicy`.
 
 All share vectors, windows and error messages are kept bit-identical to
 the reference implementations; the cross-backend equivalence suites
@@ -38,6 +45,9 @@ __all__ = [
     "OnlineWindowPolicy",
     "OnlineListPolicy",
     "AssignedQueuePolicy",
+    "grow_window_left",
+    "grow_window_right",
+    "move_window_right",
     "compute_window",
     "compute_assignment",
 ]
@@ -64,9 +74,10 @@ class SlidingWindowPolicy:
         self.budget = budget
         self.size = size
         self.enable_move = enable_move
-        # strict / allow_extra_start follow enable_move exactly as in the
-        # reference scheduler (compute_assignment was called with
-        # allow_extra_start=enable_move, strict=enable_move)
+        # without MoveWindowRight (ablation E7) the window loses maximality,
+        # so a second fractured job or a fractured max W in Case 1 can
+        # occur: the ablation serves them like ordinary jobs instead of
+        # raising, and skips the Case-2 reserved-processor start
         self.strict = enable_move
         self.accelerate = accelerate
         self.window: List = []
@@ -300,31 +311,7 @@ class UnitWindowPolicy:
         order = self.order
         m = state.m
         budget = self.budget
-        iota_idx = self.iota_idx
-        if iota_idx is not None:
-            lo, hi = iota_idx, iota_idx + 1
-            r_w = order[iota_idx][0]
-        else:
-            lo = hi = 0
-            r_w = state.zero
-        # grow left
-        while hi - lo < m and lo > 0 and r_w < budget:
-            lo -= 1
-            r_w += order[lo][0]
-        # grow right
-        while r_w < budget and hi < len(order) and hi - lo < m:
-            r_w += order[hi][0]
-            hi += 1
-        # move right while resource-deficient and the leftmost is unstarted
-        while (
-            r_w < budget
-            and hi < len(order)
-            and (iota_idx is None or lo != iota_idx)
-        ):
-            r_w -= order[lo][0]
-            lo += 1
-            r_w += order[hi][0]
-            hi += 1
+        lo, hi = _unit_window(order, self.iota_idx, m, budget)
         window = order[lo:hi]
 
         # assignment: all but the last window job get their full value
@@ -426,7 +413,16 @@ class SequentialTaskPolicy:
             order = orders[cur]
             iota = self.iotas[cur]
             tid = task_ids[cur]
-            window, lo = _task_unit_window(order, iota, procs, avail, state)
+            pos = None
+            if iota is not None:
+                for p, (_, idx) in enumerate(order):
+                    if idx == iota:
+                        pos = p
+                        break
+                if pos is None:
+                    raise RuntimeError("started job lost from task order")
+            lo, hi = _unit_window(order, pos, procs, avail)
+            window = order[lo:hi]
             if window:
                 others = state.zero
                 for value, idx in window[:-1]:
@@ -478,46 +474,121 @@ class SequentialTaskPolicy:
         )
 
 
-def _task_unit_window(order, iota, size, budget, state):
-    """m-maximal window over one task's virtual order: seed at ι (or the
-    left border), grow left, grow right, move right while the leftmost
-    entry is unstarted.  Returns the window slice and its start index."""
-    if not order:
-        return [], 0
-    if iota is None:
+def _unit_window(order, pos, size, budget):
+    """m-maximal window over a sorted ``(value, key)`` order: seed at the
+    started entry's position *pos* (or the left border when ``None``),
+    grow left, grow right, then move right while the leftmost entry is not
+    the started one.  Returns the window's slice bounds ``(lo, hi)``."""
+    if pos is None:
         lo = hi = 0
-        r_w = state.zero
+        r_w = 0
     else:
-        pos = None
-        for p, (_, idx) in enumerate(order):
-            if idx == iota:
-                pos = p
-                break
-        if pos is None:
-            raise RuntimeError("started job lost from task order")
         lo, hi = pos, pos + 1
         r_w = order[pos][0]
+    n = len(order)
     while hi - lo < size and lo > 0 and r_w < budget:
         lo -= 1
         r_w += order[lo][0]
-    while r_w < budget and hi < len(order) and hi - lo < size:
+    while r_w < budget and hi < n and hi - lo < size:
         r_w += order[hi][0]
         hi += 1
-    while (
-        r_w < budget
-        and hi < len(order)
-        and (iota is None or order[lo][1] != iota)
-    ):
+    while r_w < budget and hi < n and lo != pos:
         r_w -= order[lo][0]
         lo += 1
         r_w += order[hi][0]
         hi += 1
-    return order[lo:hi], lo
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
-# Generic window/assignment helpers (used by the online policy)
+# Step-exact Listing 1/2 reference over an explicit universe (used by the
+# online policy, the simulator policy and the tests)
 # ---------------------------------------------------------------------------
+
+
+def grow_window_left(
+    state: EngineState, universe: List, window: List, size: int, budget
+) -> List:
+    """Listing 2, ``GrowWindowLeft``: extend W by ``max L_t(W)`` while
+    ``|W| < size`` and ``L_t(W) ≠ ∅`` and the window stays feasible.
+
+    *universe* is the sorted list of eligible unfinished job keys, the
+    window a sorted list of keys; a new list is returned.
+
+    **Deviation from the printed pseudocode (see DESIGN.md §2).**  The paper
+    gates each add on ``r(W) < R``.  That breaks Lemma 3.7 / Claim 3.6 in an
+    edge case: if the window's fractured ``max W`` has a large requirement
+    (so ``r(W) ≥ R`` through ``r_max`` alone) while all smaller window jobs
+    just finished, left growth is blocked and property (e) fails — the
+    algorithm then idles most of the resource for a step.  We instead gate
+    on ``r((W ∪ {j}) \\ {max W}) < R``, i.e. adding may not break window
+    property (b).  This is weaker (adds at least as often): for a left add
+    ``r(W∪{j}) - r_max + ... ≤ r(W)``, so every add the printed code makes
+    is also made here, property (b) is preserved *explicitly*, and the
+    Claim 3.6 argument (new left jobs have requirements no larger than the
+    finished jobs they replace) goes through, restoring Lemma 3.7.
+    """
+    R = state.req
+    window = list(window)
+    lo = bisect_left(universe, window[0]) if window else 0
+    r_wo_max = 0
+    for j in window[:-1]:
+        r_wo_max += R[j]
+    while len(window) < size and lo > 0:
+        new_job = universe[lo - 1]
+        if r_wo_max + R[new_job] >= budget:
+            break
+        window.insert(0, new_job)
+        r_wo_max += R[new_job]
+        lo -= 1
+    return window
+
+
+def grow_window_right(
+    state: EngineState, universe: List, window: List, size: int, budget
+) -> List:
+    """Listing 2, ``GrowWindowRight``: extend W by ``min R_t(W)`` while
+    ``r(W) < R`` and ``R_t(W) ≠ ∅`` and ``|W| < size``."""
+    R = state.req
+    window = list(window)
+    r_w = 0
+    for j in window:
+        r_w += R[j]
+    hi = bisect_right(universe, window[-1]) if window else 0
+    while r_w < budget and hi < len(universe) and len(window) < size:
+        new_job = universe[hi]
+        window.append(new_job)
+        r_w += R[new_job]
+        hi += 1
+    return window
+
+
+def move_window_right(
+    state: EngineState, universe: List, window: List, budget
+) -> List:
+    """Listing 2, ``MoveWindowRight``: while ``r(W) < R``, ``R_t(W) ≠ ∅``
+    and the leftmost window job is unstarted, slide the window one job to
+    the right (drop ``min W``, add ``min R_t(W)``)."""
+    R = state.req
+    window = list(window)
+    if not window:
+        return window
+    r_w = 0
+    for j in window:
+        r_w += R[j]
+    hi = bisect_right(universe, window[-1])
+    while (
+        r_w < budget
+        and hi < len(universe)
+        and not state.is_started(window[0])
+    ):
+        dropped = window.pop(0)
+        r_w -= R[dropped]
+        new_job = universe[hi]
+        window.append(new_job)
+        r_w += R[new_job]
+        hi += 1
+    return window
 
 
 def compute_window(
@@ -526,50 +597,11 @@ def compute_window(
     """Lines 2-5 of Listing 1 over an explicit *universe* (sorted eligible
     job keys): intersect with the universe, grow left (property-(b)
     gated), grow right, move right."""
-    R = state.req
     alive = set(universe)
     window = [j for j in previous if j in alive]
-    if window:
-        lo = bisect_left(universe, window[0])
-        r_wo_max = 0
-        for j in window:
-            r_wo_max += R[j]
-        r_wo_max -= R[window[-1]]
-    else:
-        lo = 0
-        r_wo_max = 0
-    while len(window) < size and lo > 0:
-        new_job = universe[lo - 1]
-        if r_wo_max + R[new_job] >= budget:
-            break
-        window.insert(0, new_job)
-        r_wo_max += R[new_job]
-        lo -= 1
-    if window:
-        r_w = r_wo_max + R[window[-1]]
-        hi = bisect_right(universe, window[-1])
-    else:
-        r_w = 0
-        hi = 0
-    len_u = len(universe)
-    while r_w < budget and hi < len_u and len(window) < size:
-        new_job = universe[hi]
-        window.append(new_job)
-        r_w += R[new_job]
-        hi += 1
-    if window:
-        while (
-            r_w < budget
-            and hi < len_u
-            and not state.is_started(window[0])
-        ):
-            dropped = window.pop(0)
-            r_w -= R[dropped]
-            new_job = universe[hi]
-            window.append(new_job)
-            r_w += R[new_job]
-            hi += 1
-    return window
+    window = grow_window_left(state, universe, window, size, budget)
+    window = grow_window_right(state, universe, window, size, budget)
+    return move_window_right(state, universe, window, budget)
 
 
 class WindowAssignment:
@@ -586,16 +618,20 @@ class WindowAssignment:
 
 
 def compute_assignment(
-    state: EngineState,
-    window: List,
-    budget,
-    universe: List,
-    allow_extra_start: bool = True,
-    strict: bool = True,
+    state: EngineState, window: List, budget, universe: List
 ) -> WindowAssignment:
-    """Listing 1 lines 6-20 over an explicit universe (cf. the reference
-    ``core/assignment.compute_assignment``); shares are capped at
-    ``min(r_j, s_j(t-1))``, waste is explicit."""
+    """Listing 1 lines 6-20 (Observation 3.2) for the sorted *window* over
+    *universe*, the sorted eligible unfinished job keys.
+
+    With ``F`` the fractured window job ``ι`` (or ∅): **Case 1**,
+    ``r(W \\ F) ≥ R``: every ``j ∈ W \\ (F ∪ {max W})`` gets ``r_j``,
+    ``ι`` gets its remainder ``q_ι(t-1)`` and ``max W`` the rest.
+    **Case 2**, ``r(W \\ F) < R``: every ``j ∈ W \\ F`` gets ``r_j``, ``ι``
+    gets ``min(R - r(W \\ F), s_ι(t-1), r_ι)``, and a leftover starts
+    ``min R_t(W)`` on the reserved processor when ``ι`` finishes.  Shares
+    are capped at ``min(r_j, s_j(t-1))``, waste is explicit.  Raises
+    :class:`RuntimeError` on two fractured window jobs or on Case 1 with a
+    fractured ``max W`` (both contradict window maximality)."""
     S = state.remaining
     R = state.req
     result = WindowAssignment()
@@ -606,14 +642,12 @@ def compute_assignment(
     for j in window:
         if S[j] % R[j]:
             if iota is not None:
-                if strict:
-                    fractured = [jj for jj in window if S[jj] % R[jj]]
-                    raise RuntimeError(
-                        f"window invariant broken: {len(fractured)} "
-                        f"fractured jobs ({fractured}); the "
-                        "algorithm guarantees at most one"
-                    )
-                break
+                fractured = [jj for jj in window if S[jj] % R[jj]]
+                raise RuntimeError(
+                    f"window invariant broken: {len(fractured)} "
+                    f"fractured jobs ({fractured}); the "
+                    "algorithm guarantees at most one"
+                )
             iota = j
     max_w = window[-1]
     r_w_minus_f = 0
@@ -626,12 +660,9 @@ def compute_assignment(
         # ------------------------------- Case 1 --------------------------
         result.case = "case1"
         if iota == max_w:
-            if strict:
-                raise RuntimeError(
-                    "Case 1 with fractured max W contradicts window "
-                    "property (b)"
-                )
-            iota = None  # tolerant mode: demote ι
+            raise RuntimeError(
+                "Case 1 with fractured max W contradicts window property (b)"
+            )
         used = 0
         for j in window:
             if j == iota or j == max_w:
@@ -682,7 +713,7 @@ def compute_assignment(
             leftover -= share
         # the reserved-processor start must not create a second fracture:
         # only taken when no fractured job survives this step
-        if leftover > 0 and allow_extra_start and iota_finishing:
+        if leftover > 0 and iota_finishing:
             hi = bisect_right(universe, window[-1])
             if hi < len(universe):
                 new_job = universe[hi]

@@ -21,9 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from ..core.assignment import compute_assignment
 from ..core.state import SchedulerState
-from ..core.window import compute_window
+from ..engine.policies import compute_assignment, compute_window
 
 
 def _machine(state: SchedulerState):
@@ -48,10 +47,11 @@ class SlidingWindowPolicy:
             if self._window_size is not None
             else max(state.instance.m - 1, 1)
         )
-        self._window = compute_window(state, self._window, size, budget)
-        assignment = compute_assignment(
-            state, self._window, budget, allow_extra_start=True
+        universe = state.unfinished()
+        self._window = compute_window(
+            state, self._window, size, budget, universe
         )
+        assignment = compute_assignment(state, self._window, budget, universe)
         if assignment.extra_started is not None:
             self._window = sorted(
                 set(self._window) | {assignment.extra_started}

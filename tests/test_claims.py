@@ -9,17 +9,19 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 
-from repro.core.assignment import compute_assignment
 from repro.core.instance import Instance
 from repro.core.state import SchedulerState
 from repro.core.window import (
+    is_k_maximal,
+    window_requirement_without_max,
+    window_violations,
+)
+from repro.engine.policies import (
+    compute_assignment,
     compute_window,
     grow_window_left,
     grow_window_right,
-    is_k_maximal,
     move_window_right,
-    window_requirement_without_max,
-    window_violations,
 )
 
 from conftest import srj_instances
@@ -35,8 +37,8 @@ def _run_to_step(inst, steps):
     for _ in range(steps):
         if state.n_unfinished() == 0:
             break
-        window = compute_window(state, window, size, ONE)
-        a = compute_assignment(state, window, ONE)
+        window = compute_window(state, window, size, ONE, state.unfinished())
+        a = compute_assignment(state, window, ONE, state.unfinished())
         state.apply_step(a.shares)
         if a.extra_started is not None:
             window = sorted(set(window) | {a.extra_started})
@@ -76,7 +78,7 @@ def test_claim_35_empty_start_gives_maximal_window(inst):
     (m-1)-maximal window."""
     state = SchedulerState(inst)
     size = inst.m - 1
-    w = compute_window(state, [], size, ONE)
+    w = compute_window(state, [], size, ONE, state.unfinished())
     assert is_k_maximal(state, w, size, ONE)
 
 
@@ -91,11 +93,11 @@ def test_claim_36_inductive_maximality(inst):
     for _ in range(6):
         if state.n_unfinished() == 0:
             return
-        window = compute_window(state, window, size, ONE)
+        window = compute_window(state, window, size, ONE, state.unfinished())
         assert is_k_maximal(state, window, size, ONE), window_violations(
             state, window, size, ONE
         )
-        a = compute_assignment(state, window, ONE)
+        a = compute_assignment(state, window, ONE, state.unfinished())
         state.apply_step(a.shares)
         if a.extra_started is not None:
             window = sorted(set(window) | {a.extra_started})
@@ -110,11 +112,11 @@ def test_lemma_37_counterexample_under_printed_pseudocode():
     )
     state = SchedulerState(inst)
     size = 2
-    w = compute_window(state, [], size, ONE)
-    a = compute_assignment(state, w, ONE)
+    w = compute_window(state, [], size, ONE, state.unfinished())
+    a = compute_assignment(state, w, ONE, state.unfinished())
     state.apply_step(a.shares)
     # job 2 (r = 1) is fractured with remaining 1/8; jobs 0/1: one finished
-    w2 = compute_window(state, w, size, ONE)
+    w2 = compute_window(state, w, size, ONE, state.unfinished())
     assert is_k_maximal(state, w2, size, ONE), window_violations(
         state, w2, size, ONE
     )
@@ -150,13 +152,13 @@ def test_lemma_38_left_border_absorbing_stepwise(inst):
     for _ in range(30):
         if state.n_unfinished() == 0:
             return
-        window = compute_window(state, window, size, ONE)
+        window = compute_window(state, window, size, ONE, state.unfinished())
         universe = state.unfinished()
         touches_left = not window or window[0] == universe[0]
         if at_left:
             assert touches_left, "left border lost"
         at_left = at_left or touches_left
-        a = compute_assignment(state, window, ONE)
+        a = compute_assignment(state, window, ONE, state.unfinished())
         state.apply_step(a.shares)
         if a.extra_started is not None:
             window = sorted(set(window) | {a.extra_started})

@@ -158,10 +158,10 @@ class TestStateGuards:
             st.apply_step({42: Fraction(1, 2)})
 
     def test_assignment_empty_universe(self):
-        from repro.core.assignment import compute_assignment
+        from repro.engine.policies import compute_assignment
 
         inst = Instance.from_requirements(2, [Fraction(1, 2)])
         st = SchedulerState(inst)
         st.apply_step({0: Fraction(1, 2)})
-        a = compute_assignment(st, [], Fraction(1))
+        a = compute_assignment(st, [], Fraction(1), st.unfinished())
         assert a.shares == {}

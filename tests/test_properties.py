@@ -9,13 +9,13 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 
-from repro.core.assignment import compute_assignment
 from repro.core.bounds import makespan_lower_bound
 from repro.core.instance import Instance
 from repro.core.scheduler import SlidingWindowScheduler, schedule_srj
 from repro.core.state import SchedulerState
 from repro.core.unit import schedule_unit
-from repro.core.window import compute_window, is_k_maximal, window_violations
+from repro.core.window import is_k_maximal, window_violations
+from repro.engine.policies import compute_assignment, compute_window
 
 from conftest import srj_instances
 
@@ -32,11 +32,11 @@ def test_window_maximality_every_step(inst):
     guard = 0
     while state.n_unfinished() > 0 and guard < 3000:
         guard += 1
-        window = compute_window(state, window, size, ONE)
+        window = compute_window(state, window, size, ONE, state.unfinished())
         assert is_k_maximal(state, window, size, ONE), window_violations(
             state, window, size, ONE
         )
-        a = compute_assignment(state, window, ONE)
+        a = compute_assignment(state, window, ONE, state.unfinished())
         state.apply_step(a.shares)
         if a.extra_started is not None:
             window = sorted(set(window) | {a.extra_started})
@@ -53,8 +53,8 @@ def test_at_most_one_fractured_job_always(inst):
     guard = 0
     while state.n_unfinished() > 0 and guard < 3000:
         guard += 1
-        window = compute_window(state, window, size, ONE)
-        a = compute_assignment(state, window, ONE)
+        window = compute_window(state, window, size, ONE, state.unfinished())
+        a = compute_assignment(state, window, ONE, state.unfinished())
         state.apply_step(a.shares)
         if a.extra_started is not None:
             window = sorted(set(window) | {a.extra_started})

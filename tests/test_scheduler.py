@@ -7,12 +7,9 @@ from hypothesis import given, settings
 
 from repro.core.bounds import makespan_lower_bound
 from repro.core.instance import Instance
-from repro.core.scheduler import (
-    SlidingWindowScheduler,
-    _steps_until_status_change,
-    schedule_srj,
-)
+from repro.core.scheduler import SlidingWindowScheduler, schedule_srj
 from repro.core.validate import assert_valid
+from repro.engine.backends.fraction import steps_until_status_change
 
 from conftest import srj_instances
 
@@ -122,25 +119,25 @@ class TestAcceleration:
         assert fast.completion_times == slow.completion_times
 
     def test_status_change_horizon_full_share(self):
-        assert _steps_until_status_change(
+        assert steps_until_status_change(
             Fraction(3), Fraction(1, 2), Fraction(1, 2)
         ) is None
 
     def test_status_change_unfractured_fractures_immediately(self):
-        assert _steps_until_status_change(
+        assert steps_until_status_change(
             Fraction(2), Fraction(1, 4), Fraction(1)
         ) == 1
 
     def test_status_change_fractured_resolves(self):
         # rem = 2.5, share = 0.25, r = 1: unfractured after 2 steps
-        assert _steps_until_status_change(
+        assert steps_until_status_change(
             Fraction(5, 2), Fraction(1, 4), Fraction(1)
         ) == 2
 
     def test_status_change_never(self):
         # rem = 1/2, share = 1/3, r = 1: i/3 ≡ 1/2 (mod 1) -> 6i*2 ≡ ... no:
         # clearing denominators (6): 2i ≡ 3 (mod 6) has no solution
-        assert _steps_until_status_change(
+        assert steps_until_status_change(
             Fraction(1, 2), Fraction(1, 3), Fraction(1)
         ) is None
 

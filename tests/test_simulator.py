@@ -10,6 +10,7 @@ from repro.core.instance import Instance
 from repro.core.scheduler import schedule_srj
 from repro.core.state import SchedulerState
 from repro.core.validate import assert_valid
+from repro.engine import solve_srj
 from repro.simulator import (
     GreedyFillPolicy,
     ListSchedulingPolicy,
@@ -48,9 +49,14 @@ class TestEngine:
     @given(inst=srj_instances(min_m=2, max_m=6, max_n=8))
     @settings(max_examples=40, deadline=None)
     def test_property_engine_equals_scheduler(self, inst):
+        """The step-exact reference policy reproduces the fast kernel step
+        for step (shares and processors) on both backends."""
         res = SimulationEngine(inst, SlidingWindowPolicy()).run()
         opt = schedule_srj(inst)
         assert res.makespan == opt.makespan
+        for backend in ("fraction", "int"):
+            fast = solve_srj(inst, backend=backend).schedule()
+            assert res.schedule.steps == fast.steps, backend
 
     def test_overuse_rejected(self, inst):
         class BadPolicy:

@@ -1,4 +1,5 @@
-"""Tests for the window machinery (Definition 3.1 / Listing 2)."""
+"""Tests for the window machinery: the Listing-2 procedures of
+``repro.engine.policies`` against the Definition 3.1 checker."""
 
 from fractions import Fraction
 
@@ -8,15 +9,17 @@ from hypothesis import given, settings
 from repro.core.instance import Instance
 from repro.core.state import SchedulerState
 from repro.core.window import (
-    compute_window,
-    grow_window_left,
-    grow_window_right,
     is_k_maximal,
     left_neighbors,
-    move_window_right,
     right_neighbors,
     window_requirement,
     window_violations,
+)
+from repro.engine.policies import (
+    compute_window,
+    grow_window_left,
+    grow_window_right,
+    move_window_right,
 )
 
 from conftest import srj_instances
@@ -112,7 +115,7 @@ class TestMoveRight:
 class TestComputeWindowAndMaximality:
     def test_initial_window_is_maximal(self):
         st = make_state([Fraction(1, 4)] * 6, m=4)
-        w = compute_window(st, [], 3, ONE)
+        w = compute_window(st, [], 3, ONE, st.unfinished())
         assert is_k_maximal(st, w, 3, ONE)
         # r(any 3 jobs) = 3/4 < 1, so the maximal window hugs the right
         # border (property (f))
@@ -120,9 +123,9 @@ class TestComputeWindowAndMaximality:
 
     def test_window_after_finishes_is_maximal(self):
         st = make_state([Fraction(1, 4)] * 6, m=4)
-        w = compute_window(st, [], 3, ONE)
+        w = compute_window(st, [], 3, ONE, st.unfinished())
         st.apply_step({0: Fraction(1, 4), 1: Fraction(1, 4), 2: Fraction(1, 4)})
-        w2 = compute_window(st, w, 3, ONE)
+        w2 = compute_window(st, w, 3, ONE, st.unfinished())
         assert is_k_maximal(st, w2, 3, ONE)
 
     def test_violations_reported(self):
@@ -154,7 +157,7 @@ class TestComputeWindowAndMaximality:
     def test_property_initial_window_maximal(self, inst):
         st = SchedulerState(inst)
         size = max(inst.m - 1, 1)
-        w = compute_window(st, [], size, ONE)
+        w = compute_window(st, [], size, ONE, st.unfinished())
         assert is_k_maximal(st, w, size, ONE), window_violations(
             st, w, size, ONE
         )
